@@ -13,16 +13,14 @@
 //!   with HashMap-free scratch (the seed's hot loop);
 //! * `compiled program` — [`program_cost_into`] over the flat
 //!   jump-threaded [`StrategyProgram`];
-//! * `bit-parallel batch` — [`execute_batch`] over [`ContextBatch`]
-//!   planes, swept across every plane width W ∈ {1, 2, 4, 8}
-//!   (64/128/256/512 lanes per plane; restrict with `--widths 1,4,8`).
+//! * `bit-parallel batch` — [`execute_batch`] over 64-lane
+//!   [`ContextBatch`] planes.
 //!
-//! Total cost sums are asserted bit-identical across all paths and all
-//! plane widths (the lane/index drain order matches the scalar sample
-//! order), and a PIB end-to-end section checks the batched learner
-//! reaches the same strategy at the same throughput gain. Sampling
-//! happens outside the timed region: this benchmark prices the
-//! execution loop itself.
+//! Total cost sums are asserted bit-identical across all three paths
+//! (the lane/index drain order matches the scalar sample order), and a
+//! PIB end-to-end section checks the batched learner reaches the same
+//! strategy at the same throughput gain. Sampling happens outside the
+//! timed region: this benchmark prices the execution loop itself.
 
 use qpl_core::{Pib, PibConfig};
 use qpl_engine::par::sample_rng;
@@ -38,9 +36,8 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Pre-sampled context stream: scalar contexts plus the same stream
-/// packed into `plane_lanes`-lane batches (lane `l` of batch `b` is
-/// sample `b * plane_lanes + l`, drawn from the identical per-index
-/// RNG). `plane_lanes` = width × 64 picks the plane storage width.
+/// packed into 64-lane batches (lane `l` of batch `b` is sample
+/// `b * LANES + l`, drawn from the identical per-index RNG).
 struct Stream {
     contexts: Vec<Context>,
     batches: Vec<ContextBatch>,
@@ -51,7 +48,6 @@ fn sample_stream(
     model: &dyn ContextDistribution,
     seed: u64,
     n: usize,
-    plane_lanes: usize,
 ) -> Stream {
     let mut contexts = Vec::with_capacity(n);
     let mut ctx = Context::all_open(g);
@@ -60,23 +56,10 @@ fn sample_stream(
         model.sample_into(&mut rng, &mut ctx);
         contexts.push(ctx.clone()); // building the fixture, not the timed loop
     }
-    let batches = pack_stream(g, model, seed, n, plane_lanes);
-    Stream { contexts, batches }
-}
-
-/// Packs the same per-index RNG stream into `plane_lanes`-lane planes
-/// (fixture building, outside every timed region).
-fn pack_stream(
-    g: &qpl_graph::InferenceGraph,
-    model: &dyn ContextDistribution,
-    seed: u64,
-    n: usize,
-    plane_lanes: usize,
-) -> Vec<ContextBatch> {
-    let mut batches = Vec::with_capacity(n.div_ceil(plane_lanes));
+    let mut batches = Vec::with_capacity(n.div_ceil(LANES));
     let mut start = 0usize;
     while start < n {
-        let lanes = (n - start).min(plane_lanes);
+        let lanes = (n - start).min(LANES);
         let mut rngs: Vec<StdRng> =
             (start..start + lanes).map(|i| sample_rng(seed, i as u64)).collect();
         let mut batch = ContextBatch::new(g.arc_count(), lanes);
@@ -84,11 +67,10 @@ fn pack_stream(
         batches.push(batch);
         start += lanes;
     }
-    batches
+    Stream { contexts, batches }
 }
 
-/// One workload shape: (contexts/sec, bit-identical sum) per path,
-/// with the batch path swept over plane widths.
+/// One workload shape: (contexts/sec, bit-identical sum) per path.
 struct ShapeResult {
     retrievals: usize,
     arcs: usize,
@@ -96,24 +78,17 @@ struct ShapeResult {
     walk_cps: f64,
     reuse_cps: f64,
     program_cps: f64,
-    /// (plane width in 64-lane words, contexts/sec) per swept width.
-    batch_cps: Vec<(usize, f64)>,
+    batch_cps: f64,
 }
 
-fn bench_shape(
-    seed: u64,
-    retrievals: usize,
-    depth: usize,
-    n: usize,
-    widths: &[usize],
-) -> ShapeResult {
+fn bench_shape(seed: u64, retrievals: usize, depth: usize, n: usize) -> ShapeResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let params = TreeParams { max_depth: depth, max_branch: 4, ..Default::default() };
     let g = random_tree_with_retrievals(&mut rng, &params, retrievals, retrievals * 2);
     let model = random_retrieval_model(&mut rng, &g, (0.05, 0.6));
     let theta = Strategy::left_to_right(&g);
     let prog = StrategyProgram::compile(&g, &theta).expect("depth-first tree compiles");
-    let stream = sample_stream(&g, &model, seed.wrapping_mul(31), n, LANES);
+    let stream = sample_stream(&g, &model, seed.wrapping_mul(31), n);
 
     // Best-of-`REPS` wall time per variant: the repeats defend against
     // scheduler noise on shared machines, and the minimum is the run
@@ -159,51 +134,41 @@ fn bench_shape(
         program_sum = sum;
     }
 
+    let mut run = BatchRun::new();
+    let mut batch_sum = 0.0f64;
+    let mut batch_secs = f64::INFINITY;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        let mut sum = 0.0f64;
+        for batch in &stream.batches {
+            execute_batch(&prog, batch, batch.active_mask(), &mut run);
+            for lane in 0..batch.lanes() {
+                sum += run.cost(lane);
+            }
+        }
+        batch_secs = batch_secs.min(t0.elapsed().as_secs_f64());
+        batch_sum = sum;
+    }
+
     assert_eq!(walk_sum.to_bits(), scalar_sum.to_bits(), "scratch reuse changed the walk");
     assert_eq!(
         program_sum.to_bits(),
         scalar_sum.to_bits(),
         "compiled program diverged from the tree-walk"
     );
-
-    // Plane-width sweep: the identical sample stream repacked into
-    // width × 64-lane planes (repacking is fixture work, untimed); the
-    // cost sum must land on the very same bits at every width.
-    let mut run = BatchRun::new();
-    let mut batch_cps = Vec::with_capacity(widths.len());
-    for &width in widths {
-        let batches = pack_stream(&g, &model, seed.wrapping_mul(31), n, width * LANES);
-        let mut batch_sum = 0.0f64;
-        let mut batch_secs = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let mut sum = 0.0f64;
-            for batch in &batches {
-                execute_batch(&prog, batch, batch.active_mask(), &mut run);
-                for lane in 0..batch.lanes() {
-                    sum += run.cost(lane);
-                }
-            }
-            batch_secs = batch_secs.min(t0.elapsed().as_secs_f64());
-            batch_sum = sum;
-        }
-        assert_eq!(
-            batch_sum.to_bits(),
-            scalar_sum.to_bits(),
-            "width-{width} batch executor diverged from the tree-walk"
-        );
-        batch_cps.push((width, n as f64 / batch_secs));
-    }
-
-    let widths_line =
-        batch_cps.iter().map(|(w, cps)| format!("w{w} {cps:.0}/s")).collect::<Vec<_>>().join(", ");
+    assert_eq!(
+        batch_sum.to_bits(),
+        scalar_sum.to_bits(),
+        "batch executor diverged from the tree-walk"
+    );
     println!(
         "retrievals={retrievals} arcs={}: walk {:.0}/s, walk+reuse {:.0}/s, program {:.0}/s, \
-         batch [{widths_line}] (sums bit-identical at every width)",
+         batch {:.0}/s (sums bit-identical)",
         g.arc_count(),
         n as f64 / walk_secs,
         n as f64 / scalar_secs,
         n as f64 / program_secs,
+        n as f64 / batch_secs,
     );
     ShapeResult {
         retrievals,
@@ -212,7 +177,7 @@ fn bench_shape(
         walk_cps: n as f64 / walk_secs,
         reuse_cps: n as f64 / scalar_secs,
         program_cps: n as f64 / program_secs,
-        batch_cps,
+        batch_cps: n as f64 / batch_secs,
     }
 }
 
@@ -225,7 +190,7 @@ fn bench_pib(seed: u64, n: usize) -> (f64, f64) {
     let g = random_tree_with_retrievals(&mut rng, &params, 32, 64);
     let model = random_retrieval_model(&mut rng, &g, (0.05, 0.6));
     let theta = Strategy::left_to_right(&g);
-    let stream = sample_stream(&g, &model, seed.wrapping_mul(17), n, LANES);
+    let stream = sample_stream(&g, &model, seed.wrapping_mul(17), n);
 
     let mut scalar = Pib::new(&g, theta.clone(), PibConfig::new(0.1));
     let t0 = Instant::now();
@@ -266,48 +231,17 @@ fn main() {
         }
         _ => 200_000usize,
     };
-    let widths: Vec<usize> = match args.iter().position(|a| a == "--widths") {
-        Some(pos) if pos + 1 < args.len() => args[pos + 1]
-            .split(',')
-            .map(|w| {
-                let w: usize = w.trim().parse().expect("--widths takes e.g. 1,4,8");
-                assert!(matches!(w, 1 | 2 | 4 | 8), "plane widths are 1, 2, 4, or 8");
-                w
-            })
-            .collect(),
-        _ => vec![1, 2, 4, 8],
-    };
     let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
 
-    let shapes = [
-        bench_shape(21, 32, 6, n, &widths),
-        bench_shape(22, 128, 8, n, &widths),
-        bench_shape(23, 512, 10, n / 4, &widths),
-    ];
+    let shapes =
+        [bench_shape(21, 32, 6, n), bench_shape(22, 128, 8, n), bench_shape(23, 512, 10, n / 4)];
     let shape_rows: Vec<String> = shapes
         .iter()
         .map(|s| {
-            // The width-1 plane is the baseline; `batch_per_sec` keeps
-            // naming it so older readers of this file stay correct.
-            let w1 = s.batch_cps.first().map_or(0.0, |&(_, cps)| cps);
-            let (best_w, best_cps) = s
-                .batch_cps
-                .iter()
-                .copied()
-                .max_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("at least one width swept");
-            let by_width = s
-                .batch_cps
-                .iter()
-                .map(|(w, cps)| format!("\"w{w}\": {cps:.0}"))
-                .collect::<Vec<_>>()
-                .join(", ");
             format!(
                 "    {{\"retrievals\": {}, \"arcs\": {}, \"samples\": {}, \
                  \"tree_walk_per_sec\": {:.0}, \"walk_reuse_per_sec\": {:.0}, \
                  \"program_per_sec\": {:.0}, \"batch_per_sec\": {:.0}, \
-                 \"batch_by_width_per_sec\": {{{by_width}}}, \
-                 \"best_width\": {best_w}, \"best_width_vs_w1\": {:.2}, \
                  \"batch_vs_tree_walk\": {:.2}, \"batch_vs_walk_reuse\": {:.2}}}",
                 s.retrievals,
                 s.arcs,
@@ -315,10 +249,9 @@ fn main() {
                 s.walk_cps,
                 s.reuse_cps,
                 s.program_cps,
-                w1,
-                if w1 > 0.0 { best_cps / w1 } else { 1.0 },
-                best_cps / s.walk_cps,
-                best_cps / s.reuse_cps
+                s.batch_cps,
+                s.batch_cps / s.walk_cps,
+                s.batch_cps / s.reuse_cps
             )
         })
         .collect();
@@ -329,13 +262,8 @@ fn main() {
         "{{\n  \"bench\": \"strategy programs + bit-parallel batch execution\",\n  \
          \"cores\": {cores},\n  \
          \"note\": \"tree_walk is the per-sample loop as the MC harness calls it (scratch \
-         allocated per call); walk_reuse hoists the scratch; batch sweeps plane widths \
-         (w1..w8 = 64..512 lanes per plane, same [u64; W] executor); sums asserted \
-         bit-identical across every path and width; sampling excluded from timing; \
-         best-of-5 reps per variant; batch_per_sec is the w1 plane, best_width the \
-         fastest swept width (best_width 1 = honest no-regression: on this box the \
-         wider planes' dispatch amortization does not pay for their larger resident \
-         footprint)\",\n  \
+         allocated per call); walk_reuse hoists the scratch; sums asserted bit-identical \
+         across all four paths; sampling excluded from timing; best-of-5 reps per variant\",\n  \
          \"execution_throughput\": [\n{}\n  ],\n  \
          \"pib_end_to_end\": {{\"scalar_per_sec\": {pib_scalar:.0}, \
          \"batched_per_sec\": {pib_batch:.0}, \"speedup\": {:.2}}}\n}}\n",

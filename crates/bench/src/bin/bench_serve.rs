@@ -125,8 +125,6 @@ struct RunStats {
     climbs: f64,
     adoptions: f64,
     steer_fallbacks: f64,
-    /// Planes executed at width 1/2/4/8 (64..512 lanes), all shards.
-    width_planes: [u64; 4],
     /// Per shard: (shard, served lanes, fill_ratio, serve-window qps).
     per_shard: Vec<(f64, f64, f64, f64)>,
     /// `update` rounds sent in the mixed query/update phase.
@@ -302,12 +300,6 @@ fn bench_one(args: &Args, shards: usize, texts: &[String], expected: &[&'static 
             (f("shard"), f("served"), f("fill_ratio"), f("served") / serve_secs)
         })
         .collect();
-    let mut width_planes = [0u64; 4];
-    if let Some(ws) = stats.get("width_planes").and_then(JsonValue::as_array) {
-        for (acc, w) in width_planes.iter_mut().zip(ws) {
-            *acc = w.as_f64().unwrap_or(0.0) as u64;
-        }
-    }
 
     // Convergence: every replica must have applied every broadcast
     // delta — the per-shard counters all equal the rounds sent.
@@ -354,7 +346,6 @@ fn bench_one(args: &Args, shards: usize, texts: &[String], expected: &[&'static 
         climbs: stat("climbs"),
         adoptions: stat("adoptions"),
         steer_fallbacks: stat("steer_fallbacks"),
-        width_planes,
         per_shard,
         update_rounds: args.updates as u64,
         per_shard_deltas,
@@ -386,7 +377,6 @@ fn run_json(r: &RunStats) -> String {
          \"batch_fill_ratio\": {:.4}, \"service_p50_us\": {:.1}, \
          \"service_p99_us\": {:.1}, \"strategy_climbs\": {:.0}, \
          \"adoptions\": {:.0}, \"steer_fallbacks\": {:.0}, \
-         \"width_planes\": {{\"w1\": {}, \"w2\": {}, \"w4\": {}, \"w8\": {}}}, \
          \"per_shard\": [{per_shard}], \
          \"updates\": {{\"rounds\": {}, \"per_shard_deltas_applied\": [{}], \
          \"kb_delta_applied\": {:.0}, \"events_dropped\": {:.0}}}}}",
@@ -405,10 +395,6 @@ fn run_json(r: &RunStats) -> String {
         r.climbs,
         r.adoptions,
         r.steer_fallbacks,
-        r.width_planes[0],
-        r.width_planes[1],
-        r.width_planes[2],
-        r.width_planes[3],
         r.update_rounds,
         r.per_shard_deltas.iter().map(|d| format!("{d:.0}")).collect::<Vec<_>>().join(", "),
         r.kb_delta_applied,

@@ -18,7 +18,7 @@
 
 use crate::delta::{delta_exact_with, DeltaScratch};
 use crate::transform::{SiblingSwap, TransformationSet};
-use qpl_graph::batch::{execute_batch, lanes_from, BatchRun, ContextBatch};
+use qpl_graph::batch::{execute_batch, lanes_from, BatchRun, ContextBatch, LANES};
 use qpl_graph::context::Context;
 use qpl_graph::graph::InferenceGraph;
 use qpl_graph::program::StrategyProgram;
@@ -196,7 +196,6 @@ impl Palo {
         let mut lane = 0usize;
         let mut run = BatchRun::new();
         let mut cand_run = BatchRun::new();
-        let stride = batch.lane_capacity();
         let mut cand_costs: Vec<f64> = Vec::new();
         while lane < lanes {
             if self.stopped {
@@ -227,14 +226,14 @@ impl Palo {
             cand_costs.clear();
             for cp in &cand_progs {
                 execute_batch(cp, batch, active, &mut cand_run);
-                cand_costs.extend((0..stride).map(|l| cand_run.cost(l)));
+                cand_costs.extend((0..LANES).map(|l| cand_run.cost(l)));
             }
             let climbs_before = self.climbs.len();
             while lane < lanes {
                 sink.counter("core.palo.contexts", 1);
                 let cost = run.cost(lane);
                 for (ci, cand) in self.candidates.iter_mut().enumerate() {
-                    cand.sum += cost - cand_costs[ci * stride + lane];
+                    cand.sum += cost - cand_costs[ci * LANES + lane];
                     cand.count += 1;
                 }
                 lane += 1;
@@ -440,32 +439,21 @@ mod tests {
         let g = g_b();
         let model = IndependentModel::from_retrieval_probs(&g, &[0.1, 0.3, 0.6, 0.2]).unwrap();
         let cfg = PaloConfig::new(0.75, 0.05);
-        for plane_lanes in [64usize, 256, 512] {
-            batched_palo_matches_scalar(&g, &model, cfg, plane_lanes);
-        }
-    }
-
-    fn batched_palo_matches_scalar(
-        g: &InferenceGraph,
-        model: &IndependentModel,
-        cfg: PaloConfig,
-        plane_lanes: usize,
-    ) {
-        let mut scalar = Palo::new(g, Strategy::left_to_right(g), cfg);
-        let mut batched = Palo::new(g, Strategy::left_to_right(g), cfg);
+        let mut scalar = Palo::new(&g, Strategy::left_to_right(&g), cfg);
+        let mut batched = Palo::new(&g, Strategy::left_to_right(&g), cfg);
         let mut rng = StdRng::seed_from_u64(33);
         let mut guard = 0u32;
         'outer: loop {
-            let chunk: Vec<Context> = (0..plane_lanes).map(|_| model.sample(&mut rng)).collect();
+            let chunk: Vec<Context> = (0..LANES).map(|_| model.sample(&mut rng)).collect();
             let mut b = ContextBatch::new(g.arc_count(), chunk.len());
             let mut scalar_running = true;
             for (lane, ctx) in chunk.iter().enumerate() {
                 b.set_lane(lane, ctx);
                 if scalar_running {
-                    scalar_running = scalar.observe(g, ctx);
+                    scalar_running = scalar.observe(&g, ctx);
                 }
             }
-            let batched_running = batched.observe_batch(g, &b);
+            let batched_running = batched.observe_batch(&g, &b);
             assert_eq!(scalar_running, batched_running, "divergent stop");
             assert_eq!(scalar.stopped(), batched.stopped());
             assert_eq!(scalar.climbs(), batched.climbs());

@@ -361,37 +361,36 @@ mod tests {
         let g = g_b();
         let truth = IndependentModel::from_retrieval_probs(&g, &[0.35, 0.15, 0.55, 0.75]).unwrap();
         let cfg = PaoConfig::theorem2(1.0, 0.1).with_sample_cap(500);
-        for lanes in [64usize, 128, 512] {
-            let mut scalar = Pao::new(&g, cfg).unwrap();
-            let mut batched = Pao::new(&g, cfg).unwrap();
-            let mut rng = StdRng::seed_from_u64(42);
-            while !batched.done() {
-                let mut b = qpl_graph::batch::ContextBatch::new(g.arc_count(), lanes);
-                let mut ctxs = Vec::with_capacity(lanes);
-                for lane in 0..lanes {
-                    let ctx = truth.sample(&mut rng);
-                    b.set_lane(lane, &ctx);
-                    ctxs.push(ctx);
-                }
-                let consumed = batched.observe_batch(&g, &b);
-                for ctx in ctxs.iter().take(consumed as usize) {
-                    scalar.observe(&g, ctx);
-                }
+        let mut scalar = Pao::new(&g, cfg).unwrap();
+        let mut batched = Pao::new(&g, cfg).unwrap();
+        let mut rng = StdRng::seed_from_u64(42);
+        while !batched.done() {
+            let lanes = qpl_graph::batch::LANES;
+            let mut b = qpl_graph::batch::ContextBatch::new(g.arc_count(), lanes);
+            let mut ctxs = Vec::with_capacity(lanes);
+            for lane in 0..lanes {
+                let ctx = truth.sample(&mut rng);
+                b.set_lane(lane, &ctx);
+                ctxs.push(ctx);
             }
-            assert!(scalar.done(), "plane of {lanes} lanes");
-            assert_eq!(scalar.runs(), batched.runs());
-            for (a, b) in scalar.stats().iter().zip(batched.stats()) {
-                assert_eq!(
-                    (a.arc, a.attempts, a.reached, a.successes),
-                    (b.arc, b.attempts, b.reached, b.successes)
-                );
+            let consumed = batched.observe_batch(&g, &b);
+            for ctx in ctxs.iter().take(consumed as usize) {
+                scalar.observe(&g, ctx);
             }
-            let (s_strat, s_model) = scalar.finish(&g).unwrap();
-            let (b_strat, b_model) = batched.finish(&g).unwrap();
-            assert_eq!(s_strat.arcs(), b_strat.arcs());
-            for a in g.arc_ids() {
-                assert_eq!(s_model.prob(a).to_bits(), b_model.prob(a).to_bits());
-            }
+        }
+        assert!(scalar.done());
+        assert_eq!(scalar.runs(), batched.runs());
+        for (a, b) in scalar.stats().iter().zip(batched.stats()) {
+            assert_eq!(
+                (a.arc, a.attempts, a.reached, a.successes),
+                (b.arc, b.attempts, b.reached, b.successes)
+            );
+        }
+        let (s_strat, s_model) = scalar.finish(&g).unwrap();
+        let (b_strat, b_model) = batched.finish(&g).unwrap();
+        assert_eq!(s_strat.arcs(), b_strat.arcs());
+        for a in g.arc_ids() {
+            assert_eq!(s_model.prob(a).to_bits(), b_model.prob(a).to_bits());
         }
     }
 

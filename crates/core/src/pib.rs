@@ -19,7 +19,7 @@
 
 use crate::delta::{delta_tilde_with, DeltaScratch};
 use crate::transform::{SiblingSwap, TransformationSet};
-use qpl_graph::batch::{execute_batch, lanes_from, BatchRun, ContextBatch};
+use qpl_graph::batch::{execute_batch, lanes_from, BatchRun, ContextBatch, LANES};
 use qpl_graph::context::{execute_into, Context, RunScratch, Trace};
 use qpl_graph::graph::{ArcId, InferenceGraph};
 use qpl_graph::program::StrategyProgram;
@@ -432,10 +432,8 @@ impl Pib {
         let mut run = BatchRun::new();
         let mut cand_run = BatchRun::new();
         let mut completed = ContextBatch::new(0, 0);
-        // Candidate-major cost matrix strided by the batch's lane
-        // capacity (plane width × 64), refilled after every
-        // (re)compilation.
-        let stride = batch.lane_capacity();
+        // Candidate-major cost matrix with a LANES stride, refilled after
+        // every (re)compilation.
         let mut cand_costs: Vec<f64> = Vec::new();
         while lane < lanes {
             // Memo hit: the neighbourhood only changes on a climb, so
@@ -469,7 +467,7 @@ impl Pib {
             cand_costs.clear();
             for cp in &set.candidates {
                 execute_batch(cp, &completed, active, &mut cand_run);
-                cand_costs.extend((0..stride).map(|l| cand_run.cost(l)));
+                cand_costs.extend((0..LANES).map(|l| cand_run.cost(l)));
             }
             let climbs_before = self.history.len();
             while lane < lanes {
@@ -485,7 +483,7 @@ impl Pib {
                     // run cost and the candidate's cost against the
                     // pessimistic-completion plane both match their
                     // scalar counterparts exactly.
-                    cand.acc.record(cost - cand_costs[ci * stride + lane]);
+                    cand.acc.record(cost - cand_costs[ci * LANES + lane]);
                 }
                 lane += 1;
                 if self.contexts_seen.is_multiple_of(self.config.test_every) {
@@ -829,13 +827,7 @@ mod tests {
     /// Chunks a scalar context stream into batches of up to 64 lanes
     /// (the last one partial), as the engine's fixed-block harness does.
     fn batches_of(g: &InferenceGraph, ctxs: &[Context]) -> Vec<ContextBatch> {
-        batches_of_lanes(g, ctxs, qpl_graph::batch::LANES)
-    }
-
-    /// [`batches_of`] with a caller-chosen plane size — widths 2/4/8
-    /// pack 128/256/512 lanes per batch.
-    fn batches_of_lanes(g: &InferenceGraph, ctxs: &[Context], lanes: usize) -> Vec<ContextBatch> {
-        ctxs.chunks(lanes)
+        ctxs.chunks(LANES)
             .map(|chunk| {
                 let mut b = ContextBatch::new(g.arc_count(), chunk.len());
                 for (lane, ctx) in chunk.iter().enumerate() {
@@ -851,14 +843,11 @@ mod tests {
         // The acceptance bar for the bit-parallel path: same climbs at
         // the same contexts, same accumulated evidence to the bit, at
         // several test cadences (test_every=1 exercises mid-batch
-        // climbs + re-runs), every plane width (64/128/256/512 lanes),
-        // and with a partial final batch (e.g. 1000 = 15×64 + 40 lanes,
-        // or 512 + 488 at width 8).
+        // climbs + re-runs) and with a partial final batch (1000 = 15×64
+        // + 40 lanes).
         let g = g_b();
         let model = IndependentModel::from_retrieval_probs(&g, &[0.02, 0.05, 0.1, 0.9]).unwrap();
-        for (test_every, plane_lanes) in
-            [(1u64, 64usize), (7, 64), (25, 64), (1, 128), (7, 256), (1, 512), (25, 512)]
-        {
+        for test_every in [1u64, 7, 25] {
             let mut rng = StdRng::seed_from_u64(5);
             let ctxs: Vec<Context> = (0..1000).map(|_| model.sample(&mut rng)).collect();
             let cfg = PibConfig::new(0.05).with_test_every(test_every);
@@ -867,7 +856,7 @@ mod tests {
             for ctx in &ctxs {
                 scalar.observe_quiet(&g, ctx);
             }
-            for batch in batches_of_lanes(&g, &ctxs, plane_lanes) {
+            for batch in batches_of(&g, &ctxs) {
                 batched.observe_batch(&g, &batch);
             }
             assert_eq!(scalar.contexts_seen(), batched.contexts_seen());

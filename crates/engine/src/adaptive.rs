@@ -678,43 +678,42 @@ mod tests {
         // mid-batch sampling-complete cut on the final batch.
         let g = g_b();
         let model = IndependentModel::from_retrieval_probs(&g, &[0.25, 0.5, 0.75, 0.4]).unwrap();
-        for lanes in [64usize, 256, 512] {
-            let mut scalar = AdaptiveQp::for_retrievals(&g, &[150, 90, 75, 120]);
-            let mut batched = AdaptiveQp::for_retrievals(&g, &[150, 90, 75, 120]);
-            let mut rng = StdRng::seed_from_u64(99);
-            let mut consumed_total = 0u64;
-            let mut guard = 0u32;
-            while !batched.done() {
-                let mut b = qpl_graph::batch::ContextBatch::new(g.arc_count(), lanes);
-                let mut ctxs = Vec::with_capacity(lanes);
-                for lane in 0..lanes {
-                    let ctx = model.sample(&mut rng);
-                    b.set_lane(lane, &ctx);
-                    ctxs.push(ctx);
-                }
-                let consumed = batched.observe_batch(&g, &b);
-                consumed_total += consumed;
-                for ctx in ctxs.iter().take(consumed as usize) {
-                    assert!(scalar.observe(&g, ctx).is_some());
-                }
-                assert_eq!(scalar.runs(), batched.runs(), "plane of {lanes} lanes");
-                assert_eq!(scalar.done(), batched.done());
-                assert_eq!(scalar.next_target(), batched.next_target());
-                for (a, b) in scalar.stats().iter().zip(batched.stats()) {
-                    assert_eq!(
-                        (a.arc, a.attempts, a.reached, a.successes),
-                        (b.arc, b.attempts, b.reached, b.successes)
-                    );
-                }
-                guard += 1;
-                assert!(guard < 10_000, "sampling failed to terminate");
+        let mut scalar = AdaptiveQp::for_retrievals(&g, &[150, 90, 75, 120]);
+        let mut batched = AdaptiveQp::for_retrievals(&g, &[150, 90, 75, 120]);
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut consumed_total = 0u64;
+        let mut guard = 0u32;
+        while !batched.done() {
+            let lanes = qpl_graph::batch::LANES;
+            let mut b = qpl_graph::batch::ContextBatch::new(g.arc_count(), lanes);
+            let mut ctxs = Vec::with_capacity(lanes);
+            for lane in 0..lanes {
+                let ctx = model.sample(&mut rng);
+                b.set_lane(lane, &ctx);
+                ctxs.push(ctx);
             }
-            assert_eq!(consumed_total, batched.runs());
-            // Once done, a batch consumes nothing.
-            let b = qpl_graph::batch::ContextBatch::new(g.arc_count(), 64);
-            assert_eq!(batched.observe_batch(&g, &b), 0);
-            assert!(scalar.observe(&g, &Context::all_open(&g)).is_none());
+            let consumed = batched.observe_batch(&g, &b);
+            consumed_total += consumed;
+            for ctx in ctxs.iter().take(consumed as usize) {
+                assert!(scalar.observe(&g, ctx).is_some());
+            }
+            assert_eq!(scalar.runs(), batched.runs());
+            assert_eq!(scalar.done(), batched.done());
+            assert_eq!(scalar.next_target(), batched.next_target());
+            for (a, b) in scalar.stats().iter().zip(batched.stats()) {
+                assert_eq!(
+                    (a.arc, a.attempts, a.reached, a.successes),
+                    (b.arc, b.attempts, b.reached, b.successes)
+                );
+            }
+            guard += 1;
+            assert!(guard < 10_000, "sampling failed to terminate");
         }
+        assert_eq!(consumed_total, batched.runs());
+        // Once done, a batch consumes nothing.
+        let b = qpl_graph::batch::ContextBatch::new(g.arc_count(), 64);
+        assert_eq!(batched.observe_batch(&g, &b), 0);
+        assert!(scalar.observe(&g, &Context::all_open(&g)).is_none());
     }
 
     #[test]

@@ -36,7 +36,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Worker/block configuration for [`batch_fold`] and [`par_map_indexed`].
 #[derive(Debug, Clone, Copy)]
@@ -58,23 +57,6 @@ impl ParConfig {
     /// `workers` threads with the default block size.
     pub fn with_workers(workers: usize) -> Self {
         Self { workers, block: Self::DEFAULT_BLOCK }
-    }
-
-    /// `workers` threads with one block per `width`-word context plane
-    /// (`width * 64` samples), so a [`batch_fold_blocks`] step can fill
-    /// and execute exactly one [`ContextBatch`](qpl_graph::batch::
-    /// ContextBatch) of that plane width per block. Per-lane values stay
-    /// bit-identical to scalar folds at any width; note the block size
-    /// is part of the fold's semantics (it decides how partial-sum
-    /// additions associate), so pick a width per experiment, not per
-    /// run.
-    ///
-    /// # Panics
-    /// Invariant assert: panics if `width` is not a supported plane
-    /// width.
-    pub fn with_plane_width(workers: usize, width: usize) -> Self {
-        assert!(matches!(width, 1 | 2 | 4 | 8), "plane width {width} is not one of 1/2/4/8");
-        Self { workers, block: width * qpl_graph::batch::LANES }
     }
 
     /// One thread per available core (1 if detection fails).
@@ -184,187 +166,6 @@ where
     out
 }
 
-/// [`batch_fold_scratch`] at **block granularity**: `step` receives each
-/// block's whole sample-index range (`lo..hi`) instead of one index at a
-/// time, so a step can process the block as a unit — the shape the
-/// bit-parallel batch executor wants, where one block (the default block
-/// size is 64 = one `u64` of lanes) becomes one `ContextBatch` filled
-/// from [`sample_rng`]`(seed, i)` per lane and executed in a single
-/// sweep.
-///
-/// The blocking, claiming, and block-ordered merge are identical to
-/// [`batch_fold_scratch`]; a step that folds its range one index at a
-/// time is bit-identical to the per-sample API, and worker-count
-/// invariance holds under the same scratch contract.
-///
-/// # Panics
-/// Propagates panics from worker closures.
-pub fn batch_fold_blocks<A, S, MkA, MkS, St, Mg>(
-    n: usize,
-    cfg: &ParConfig,
-    make: MkA,
-    make_scratch: MkS,
-    step: St,
-    merge: Mg,
-) -> A
-where
-    A: Send,
-    MkA: Fn() -> A + Sync,
-    MkS: Fn() -> S + Sync,
-    St: Fn(&mut A, &mut S, std::ops::Range<usize>) + Sync,
-    Mg: Fn(&mut A, A),
-{
-    let block = cfg.block.max(1);
-    let fold_block = |scratch: &mut S, b: usize| {
-        let mut acc = make();
-        step(&mut acc, scratch, (b * block)..((b + 1) * block).min(n));
-        (b, acc)
-    };
-    let n_blocks = n.div_ceil(block);
-    let mut partials = run_blocks_scratch(n_blocks, cfg.workers, &make_scratch, &fold_block);
-    partials.sort_by_key(|(b, _)| *b);
-    let mut out = make();
-    for (_, part) in partials {
-        merge(&mut out, part);
-    }
-    out
-}
-
-/// [`batch_fold_blocks`] with the same telemetry as
-/// [`batch_fold_scratch_observed`]: an `engine.par.batch_fold` span,
-/// batch/sample/block counters, and per-worker throughput events.
-///
-/// # Panics
-/// Propagates panics from worker closures.
-pub fn batch_fold_blocks_observed<A, S, MkA, MkS, St, Mg>(
-    n: usize,
-    cfg: &ParConfig,
-    make: MkA,
-    make_scratch: MkS,
-    step: St,
-    merge: Mg,
-    sink: &mut dyn qpl_obs::MetricsSink,
-) -> A
-where
-    A: Send,
-    MkA: Fn() -> A + Sync,
-    MkS: Fn() -> S + Sync,
-    St: Fn(&mut A, &mut S, std::ops::Range<usize>) + Sync,
-    Mg: Fn(&mut A, A),
-{
-    let timer = qpl_obs::SpanTimer::start(sink, "engine.par.batch_fold");
-    let enabled = sink.enabled();
-    let block = cfg.block.max(1);
-    let fold_block = |scratch: &mut S, b: usize| {
-        let mut acc = make();
-        let lo = b * block;
-        let hi = ((b + 1) * block).min(n);
-        step(&mut acc, scratch, lo..hi);
-        ((b, acc), (hi - lo) as u64)
-    };
-    let n_blocks = n.div_ceil(block);
-    let (mut partials, tallies) =
-        run_blocks_weighted(n_blocks, cfg.workers, &make_scratch, &fold_block, enabled);
-    partials.sort_by_key(|(b, _)| *b);
-    let mut out = make();
-    for (_, part) in partials {
-        merge(&mut out, part);
-    }
-    timer.finish(sink);
-    sink.counter("engine.par.batches", 1);
-    sink.counter("engine.par.samples", n as u64);
-    sink.counter("engine.par.blocks", n_blocks as u64);
-    if enabled {
-        sink.counter("engine.par.workers_used", tallies.len() as u64);
-        for (w, t) in tallies.iter().enumerate() {
-            sink.event(
-                "engine.par.worker",
-                &[
-                    ("worker", w as f64),
-                    ("blocks", t.blocks as f64),
-                    ("samples", t.samples as f64),
-                    ("busy_ns", t.busy_ns as f64),
-                ],
-            );
-        }
-    }
-    out
-}
-
-/// [`batch_fold_scratch`] with telemetry: the identical fold (same
-/// blocks, same merge order, bit-identical accumulator for any worker
-/// count — property-tested against the unobserved variant), wrapped in
-/// an `engine.par.batch_fold` span and followed by batch counters plus
-/// one `engine.par.worker` event per worker thread reporting its block
-/// and sample throughput.
-///
-/// The *totals* across worker events (blocks, samples) are worker-count
-/// invariant; the per-worker *split* and `busy_ns` depend on which
-/// thread claimed which block, and are the one scheduling-dependent
-/// output the observability layer has (see the crate-level determinism
-/// contract in `qpl-obs`). With a disabled sink no clocks are read and
-/// no events are built.
-///
-/// # Panics
-/// Propagates panics from worker closures.
-#[allow(clippy::too_many_arguments)]
-pub fn batch_fold_scratch_observed<A, S, MkA, MkS, St, Mg>(
-    n: usize,
-    cfg: &ParConfig,
-    make: MkA,
-    make_scratch: MkS,
-    step: St,
-    merge: Mg,
-    sink: &mut dyn qpl_obs::MetricsSink,
-) -> A
-where
-    A: Send,
-    MkA: Fn() -> A + Sync,
-    MkS: Fn() -> S + Sync,
-    St: Fn(&mut A, &mut S, usize) + Sync,
-    Mg: Fn(&mut A, A),
-{
-    let timer = qpl_obs::SpanTimer::start(sink, "engine.par.batch_fold");
-    let enabled = sink.enabled();
-    let block = cfg.block.max(1);
-    let fold_block = |scratch: &mut S, b: usize| {
-        let mut acc = make();
-        let lo = b * block;
-        let hi = ((b + 1) * block).min(n);
-        for i in lo..hi {
-            step(&mut acc, scratch, i);
-        }
-        ((b, acc), (hi - lo) as u64)
-    };
-    let n_blocks = n.div_ceil(block);
-    let (mut partials, tallies) =
-        run_blocks_weighted(n_blocks, cfg.workers, &make_scratch, &fold_block, enabled);
-    partials.sort_by_key(|(b, _)| *b);
-    let mut out = make();
-    for (_, part) in partials {
-        merge(&mut out, part);
-    }
-    timer.finish(sink);
-    sink.counter("engine.par.batches", 1);
-    sink.counter("engine.par.samples", n as u64);
-    sink.counter("engine.par.blocks", n_blocks as u64);
-    if enabled {
-        sink.counter("engine.par.workers_used", tallies.len() as u64);
-        for (w, t) in tallies.iter().enumerate() {
-            sink.event(
-                "engine.par.worker",
-                &[
-                    ("worker", w as f64),
-                    ("blocks", t.blocks as f64),
-                    ("samples", t.samples as f64),
-                    ("busy_ns", t.busy_ns as f64),
-                ],
-            );
-        }
-    }
-    out
-}
-
 /// Maps `f` over `0..n` in parallel and returns the results **in index
 /// order** (`out[i] = f(i)`). Use for experiment outer loops whose trials
 /// are independent but whose aggregation is order-sensitive: compute in
@@ -413,54 +214,10 @@ where
     MkS: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    run_blocks_weighted(n_jobs, workers, make_scratch, &|s: &mut S, b| (job(s, b), 0), false).0
-}
-
-/// Per-worker throughput tallies from one batch. The split across
-/// workers is scheduling-dependent; only the totals are invariant.
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerTally {
-    /// Blocks this worker claimed and folded.
-    blocks: u64,
-    /// Job-reported weights (samples) summed over those blocks.
-    samples: u64,
-    /// Wall-clock nanoseconds from the worker's first claim attempt to
-    /// its exit (0 when `timed` is off — no clocks are read).
-    busy_ns: u64,
-}
-
-/// The claiming core: like [`run_blocks_scratch`] but each job also
-/// reports a weight (its sample count), tallied per worker. `timed`
-/// gates every clock read so the unobserved paths stay clock-free.
-fn run_blocks_weighted<S, T, MkS, F>(
-    n_jobs: usize,
-    workers: usize,
-    make_scratch: &MkS,
-    job: &F,
-    timed: bool,
-) -> (Vec<T>, Vec<WorkerTally>)
-where
-    T: Send,
-    MkS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> (T, u64) + Sync,
-{
     let workers = workers.max(1).min(n_jobs.max(1));
     if workers == 1 {
         let mut scratch = make_scratch();
-        let start = timed.then(Instant::now);
-        let mut tally = WorkerTally::default();
-        let out = (0..n_jobs)
-            .map(|b| {
-                let (t, w) = job(&mut scratch, b);
-                tally.blocks += 1;
-                tally.samples += w;
-                t
-            })
-            .collect();
-        if let Some(start) = start {
-            tally.busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-        return (out, vec![tally]);
+        return (0..n_jobs).map(|b| job(&mut scratch, b)).collect();
     }
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -468,35 +225,19 @@ where
             .map(|_| {
                 s.spawn(|| {
                     let mut scratch = make_scratch();
-                    let start = timed.then(Instant::now);
-                    let mut tally = WorkerTally::default();
                     let mut local = Vec::new();
                     loop {
                         let b = next.fetch_add(1, Ordering::Relaxed);
                         if b >= n_jobs {
                             break;
                         }
-                        let (t, w) = job(&mut scratch, b);
-                        tally.blocks += 1;
-                        tally.samples += w;
-                        local.push(t);
+                        local.push(job(&mut scratch, b));
                     }
-                    if let Some(start) = start {
-                        tally.busy_ns =
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    }
-                    (local, tally)
+                    local
                 })
             })
             .collect();
-        let mut outs = Vec::new();
-        let mut tallies = Vec::new();
-        for h in handles {
-            let (local, tally) = h.join().expect("batch worker panicked");
-            outs.extend(local);
-            tallies.push(tally);
-        }
-        (outs, tallies)
+        handles.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
     })
 }
 
@@ -586,234 +327,6 @@ mod tests {
             let out = par_map_indexed(100, &cfg, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn observed_fold_is_bit_identical_to_unobserved() {
-        // Satellite: metrics-enabled parallel runs must be bit-identical
-        // to metrics-disabled runs modulo the sink — for every worker
-        // count, with both an enabled and a disabled sink.
-        let run_observed = |workers: usize, sink: &mut dyn qpl_obs::MetricsSink| {
-            let cfg = ParConfig { workers, block: 64 };
-            batch_fold_scratch_observed(
-                1000,
-                &cfg,
-                || (0.0f64, 0u64),
-                || (),
-                |acc, (), i| {
-                    let mut rng = sample_rng(42, i as u64);
-                    acc.0 += rng.gen::<f64>();
-                    acc.1 += 1;
-                },
-                |acc, part| {
-                    acc.0 += part.0;
-                    acc.1 += part.1;
-                },
-                sink,
-            )
-        };
-        let (base_sum, base_count) = fold_sums(1000, 1, 64);
-        for workers in [1, 2, 4, 8] {
-            let mut mem = qpl_obs::MemorySink::new();
-            let (sum, count) = run_observed(workers, &mut mem);
-            assert_eq!(count, base_count);
-            assert_eq!(sum.to_bits(), base_sum.to_bits(), "W={workers} enabled sink diverged");
-            let (sum, count) = run_observed(workers, &mut qpl_obs::NoopSink);
-            assert_eq!(count, base_count);
-            assert_eq!(sum.to_bits(), base_sum.to_bits(), "W={workers} noop sink diverged");
-        }
-    }
-
-    #[test]
-    fn observed_fold_worker_totals_are_invariant() {
-        for workers in [1, 2, 4] {
-            let mut sink = qpl_obs::MemorySink::new();
-            let cfg = ParConfig { workers, block: 16 };
-            let n = batch_fold_scratch_observed(
-                130, // ragged tail: 8 full blocks + 2
-                &cfg,
-                || 0u64,
-                || (),
-                |acc, (), _| *acc += 1,
-                |acc, part| *acc += part,
-                &mut sink,
-            );
-            assert_eq!(n, 130);
-            assert_eq!(sink.counter_total("engine.par.samples"), 130);
-            assert_eq!(sink.counter_total("engine.par.blocks"), 9);
-            assert_eq!(sink.span_stats("engine.par.batch_fold").unwrap().count, 1);
-            // The per-worker split is scheduling-dependent; the totals
-            // across worker events are not.
-            let (mut blocks, mut samples) = (0u64, 0u64);
-            for e in sink.events_named("engine.par.worker") {
-                blocks += e.field("blocks").unwrap() as u64;
-                samples += e.field("samples").unwrap() as u64;
-            }
-            assert_eq!(blocks, 9, "W={workers}");
-            assert_eq!(samples, 130, "W={workers}");
-        }
-    }
-
-    #[test]
-    fn block_fold_matches_per_sample_fold_bitwise() {
-        // The block-granular API folding its range index-by-index must be
-        // bit-identical to the per-sample API, for every worker count.
-        let (base_sum, base_count) = fold_sums(1000, 1, 64);
-        for workers in [1, 2, 4, 8] {
-            let cfg = ParConfig { workers, block: 64 };
-            let (sum, count) = batch_fold_blocks(
-                1000,
-                &cfg,
-                || (0.0f64, 0u64),
-                || (),
-                |acc, (), range| {
-                    for i in range {
-                        let mut rng = sample_rng(42, i as u64);
-                        acc.0 += rng.gen::<f64>();
-                        acc.1 += 1;
-                    }
-                },
-                |acc, part| {
-                    acc.0 += part.0;
-                    acc.1 += part.1;
-                },
-            );
-            assert_eq!(count, base_count);
-            assert_eq!(sum.to_bits(), base_sum.to_bits(), "W={workers}");
-            let mut sink = qpl_obs::MemorySink::new();
-            let (sum, count) = batch_fold_blocks_observed(
-                1000,
-                &cfg,
-                || (0.0f64, 0u64),
-                || (),
-                |acc, (), range| {
-                    for i in range {
-                        let mut rng = sample_rng(42, i as u64);
-                        acc.0 += rng.gen::<f64>();
-                        acc.1 += 1;
-                    }
-                },
-                |acc, part| {
-                    acc.0 += part.0;
-                    acc.1 += part.1;
-                },
-                &mut sink,
-            );
-            assert_eq!(count, base_count);
-            assert_eq!(sum.to_bits(), base_sum.to_bits(), "W={workers} observed");
-            assert_eq!(sink.counter_total("engine.par.samples"), 1000);
-            assert_eq!(sink.counter_total("engine.par.blocks"), 16);
-        }
-    }
-
-    #[test]
-    fn block_fold_with_wide_planes_matches_per_sample_scalar_runs() {
-        // One block = one width-W ContextBatch: filling a 1/2/4/8-word
-        // plane from sample_rng(seed, i) per lane and executing it in a
-        // single sweep folds the same per-lane costs, in the same lane
-        // (= sample-index) order, as the per-sample scalar path — for
-        // every supported plane width and worker count.
-        use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LaneMask};
-        use qpl_graph::context::RunScratch;
-        use qpl_graph::program::execute_program_into;
-        use qpl_graph::program::StrategyProgram;
-        use qpl_graph::{ContextDistribution, GraphBuilder, IndependentModel, Strategy};
-
-        let mut b = GraphBuilder::new("G");
-        let root = b.root();
-        for i in 0..6 {
-            let (_, n) = b.reduction(root, &format!("R{i}"), 1.0 + i as f64, &format!("n{i}"));
-            b.retrieval(n, &format!("D{i}"), 2.0 + i as f64);
-        }
-        let g = b.finish().unwrap();
-        let model = IndependentModel::uniform(&g, 0.55).unwrap();
-        let p = StrategyProgram::compile(&g, &Strategy::left_to_right(&g)).unwrap();
-        let n = 1000usize;
-
-        let scalar_sum = {
-            let cfg = ParConfig { workers: 1, block: 64 };
-            batch_fold(
-                n,
-                &cfg,
-                || 0.0f64,
-                |acc, i| {
-                    let mut rng = sample_rng(7, i as u64);
-                    let ctx = model.sample(&mut rng);
-                    let mut scratch = RunScratch::new(&g);
-                    execute_program_into(&p, &ctx, &mut scratch);
-                    *acc += scratch.cost();
-                },
-                |acc, part| *acc += part,
-            )
-        };
-
-        for width in [1usize, 2, 4, 8] {
-            for workers in [1usize, 3] {
-                let cfg = ParConfig::with_plane_width(workers, width);
-                assert_eq!(cfg.block, width * 64);
-                let sum = batch_fold_blocks(
-                    n,
-                    &cfg,
-                    || 0.0f64,
-                    || {
-                        (
-                            ContextBatch::new(g.arc_count(), cfg.block),
-                            BatchRun::new(),
-                            Vec::<rand::rngs::StdRng>::new(),
-                        )
-                    },
-                    |acc, (batch, run, rngs), range| {
-                        let lanes = range.len();
-                        batch.reset(g.arc_count(), lanes);
-                        rngs.clear();
-                        rngs.extend(range.clone().map(|i| sample_rng(7, i as u64)));
-                        model.sample_batch_into(rngs, batch);
-                        execute_batch(&p, batch, LaneMask::ALL, run);
-                        for lane in 0..lanes {
-                            *acc += run.cost(lane);
-                        }
-                    },
-                    |acc, part| *acc += part,
-                );
-                // Per-lane costs are bit-identical; the fold's partial
-                // sums associate per block, so compare against a scalar
-                // fold *of the same block size* for bit equality.
-                let scalar_same_block = batch_fold(
-                    n,
-                    &ParConfig { workers: 1, block: cfg.block },
-                    || 0.0f64,
-                    |acc, i| {
-                        let mut rng = sample_rng(7, i as u64);
-                        let ctx = model.sample(&mut rng);
-                        let mut scratch = RunScratch::new(&g);
-                        execute_program_into(&p, &ctx, &mut scratch);
-                        *acc += scratch.cost();
-                    },
-                    |acc, part| *acc += part,
-                );
-                assert_eq!(
-                    sum.to_bits(),
-                    scalar_same_block.to_bits(),
-                    "width {width} workers {workers} diverged from scalar"
-                );
-                // And all block sizes agree to rounding on this sum.
-                assert!((sum - scalar_sum).abs() < 1e-9, "width {width}");
-            }
-        }
-    }
-
-    #[test]
-    fn block_fold_ranges_partition_the_stream() {
-        let cfg = ParConfig { workers: 4, block: 64 };
-        let ranges = batch_fold_blocks(
-            130,
-            &cfg,
-            Vec::new,
-            || (),
-            |acc: &mut Vec<(usize, usize)>, (), range| acc.push((range.start, range.end)),
-            |acc, part| acc.extend(part),
-        );
-        assert_eq!(ranges, vec![(0, 64), (64, 128), (128, 130)]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! answer, cost, and trace.
 
 use crate::cache::{DependencyFootprint, RunCache};
-use qpl_datalog::{Atom, Database, Substitution, Symbol, Term, Var};
-use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES, MAX_LANES};
-use qpl_graph::compile::{ArcBinding, CompiledGraph, Guard, PatternTerm};
+use qpl_datalog::{Atom, Database, Substitution, Symbol};
+use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES};
+use qpl_graph::compile::{instantiate_pattern, ArcBinding, CompiledGraph, Guard};
 use qpl_graph::context::{
     execute_partial_into, execute_probe_into, Context, RunOutcome, RunScratch, Trace,
 };
@@ -42,25 +42,6 @@ fn guards_hold(guards: &[Guard], constants: &[Symbol]) -> bool {
         Guard::ArgEqConst(i, c) => constants[i] == c,
         Guard::ArgEqArg(i, j) => constants[i] == constants[j],
     })
-}
-
-/// Instantiates a retrieval pattern with the query's bound constants,
-/// using fresh variables for free positions.
-fn instantiate_pattern(predicate: Symbol, pattern: &[PatternTerm], constants: &[Symbol]) -> Atom {
-    let mut fresh = 0u32;
-    let args = pattern
-        .iter()
-        .map(|p| match *p {
-            PatternTerm::QueryArg(i) => Term::Const(constants[i]),
-            PatternTerm::Const(c) => Term::Const(c),
-            PatternTerm::Free => {
-                let v = Term::Var(Var(fresh));
-                fresh += 1;
-                v
-            }
-        })
-        .collect();
-    Atom::new(predicate, args)
 }
 
 /// Note 2: maps `⟨query, DB⟩` to its blocked-arc context class.
@@ -452,14 +433,13 @@ impl<'g> QueryProcessor<'g> {
         Ok((answer, cost))
     }
 
-    /// Classifies up to [`MAX_LANES`] queries into one [`ContextBatch`]
+    /// Classifies up to [`LANES`] queries into one [`ContextBatch`]
     /// plane, lane `l` holding query `l`'s Note-2 context. `staging` is
     /// a reusable scalar buffer. The batch is resized to exactly
-    /// `queries.len()` lanes (and the smallest plane width that fits
-    /// them).
+    /// `queries.len()` lanes.
     ///
     /// # Errors
-    /// [`GraphError::BatchShape`] if more than [`MAX_LANES`] queries are
+    /// [`GraphError::BatchShape`] if more than [`LANES`] queries are
     /// given; [`GraphError::InvalidStrategy`] if any query does not
     /// match the compiled form (the batch is left partially filled —
     /// callers wanting per-query error isolation should classify with
@@ -471,9 +451,9 @@ impl<'g> QueryProcessor<'g> {
         batch: &mut ContextBatch,
         staging: &mut Context,
     ) -> Result<(), GraphError> {
-        if queries.len() > MAX_LANES {
+        if queries.len() > LANES {
             return Err(GraphError::BatchShape(format!(
-                "{} queries exceed the {MAX_LANES}-lane plane",
+                "{} queries exceed the {LANES}-lane plane",
                 queries.len()
             )));
         }
@@ -553,8 +533,7 @@ impl<'g> QueryProcessor<'g> {
     }
 
     /// Processes any number of queries through the bit-parallel batch
-    /// path, up to [`MAX_LANES`] at a time (each chunk gets the smallest
-    /// plane width that fits it): classify a chunk into `s.batch`,
+    /// path, [`LANES`] at a time: classify a chunk into `s.batch`,
     /// execute the plane, append each `(answer, cost)` to `out` in
     /// query order. `out` is cleared first. After return, `s` holds the
     /// *last* chunk's plane and result planes.
@@ -570,7 +549,7 @@ impl<'g> QueryProcessor<'g> {
         out: &mut Vec<(QueryAnswer, f64)>,
     ) -> Result<(), GraphError> {
         out.clear();
-        for chunk in queries.chunks(MAX_LANES) {
+        for chunk in queries.chunks(LANES) {
             self.classify_batch_into(chunk, db, &mut s.batch, &mut s.staging)?;
             self.run_classified_batch(chunk, db, &s.batch, &mut s.run, &mut s.scratch, out)?;
         }
@@ -920,16 +899,15 @@ mod tests {
         let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
         let qp = QueryProcessor::left_to_right(&cg);
         let base = ["russ", "manolis", "fred"];
-        let queries: Vec<Atom> = (0..600)
+        let queries: Vec<Atom> = (0..150)
             .map(|i| parse_query(&format!("instructor({})", base[i % 3]), &mut t).unwrap())
             .collect();
         let mut bs = BatchScratch::new(&cg.graph);
         let mut out = Vec::new();
         qp.run_batch_into(&queries, &db, &mut bs, &mut out).unwrap();
-        assert_eq!(out.len(), 600);
-        // Last chunk: 600 = 512 + 88 lanes (width 2).
-        assert_eq!(bs.batch().lanes(), 88);
-        assert_eq!(bs.batch().width(), 2);
+        assert_eq!(out.len(), 150);
+        // Last chunk: 150 = 64 + 64 + 22 lanes.
+        assert_eq!(bs.batch().lanes(), 22);
         let mut scratch = RunScratch::new(&cg.graph);
         for (q, (answer, cost)) in queries.iter().zip(&out) {
             let scalar = qp.run_into(q, &db, &mut scratch).unwrap();
@@ -985,7 +963,7 @@ mod tests {
         let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
         let qp = QueryProcessor::left_to_right(&cg);
         let q = parse_query("instructor(russ)", &mut t).unwrap();
-        let queries = vec![q; MAX_LANES + 1];
+        let queries = vec![q; LANES + 1];
         let mut batch = qpl_graph::batch::ContextBatch::new(cg.graph.arc_count(), 1);
         let mut staging = Context::all_open(&cg.graph);
         assert!(matches!(

@@ -19,7 +19,7 @@
 //! decompose exactly and compile fine, e.g.
 //! `eligible(X) :- enrolled(X, C), paid(X, T).`
 
-use crate::compile::{match_head, pattern_label, Guard, PatternTerm};
+use crate::compile::{instantiate_pattern, match_head, pattern_label, Guard, PatternTerm};
 use crate::error::GraphError;
 use crate::hypergraph::{AndOrBuilder, AndOrContext, AndOrGraph, GoalId, HyperArcId};
 use qpl_datalog::{
@@ -84,7 +84,7 @@ impl CompiledAndOr {
                     if !guards_hold(guards, &constants) {
                         true
                     } else {
-                        let atom = instantiate(*predicate, pattern, &constants);
+                        let atom = instantiate_pattern(*predicate, pattern, &constants);
                         if atom.is_ground() {
                             !db.contains_atom(&atom)
                         } else {
@@ -104,23 +104,6 @@ fn guards_hold(guards: &[Guard], constants: &[Symbol]) -> bool {
         Guard::ArgEqConst(i, c) => constants[i] == c,
         Guard::ArgEqArg(i, j) => constants[i] == constants[j],
     })
-}
-
-fn instantiate(predicate: Symbol, pattern: &[PatternTerm], constants: &[Symbol]) -> Atom {
-    let mut fresh = 0u32;
-    let args = pattern
-        .iter()
-        .map(|p| match *p {
-            PatternTerm::QueryArg(i) => Term::Const(constants[i]),
-            PatternTerm::Const(c) => Term::Const(c),
-            PatternTerm::Free => {
-                let v = Term::Var(Var(fresh));
-                fresh += 1;
-                v
-            }
-        })
-        .collect();
-    Atom::new(predicate, args)
 }
 
 /// Compiles a (possibly conjunctive) rule base for `form` into an
@@ -240,7 +223,13 @@ fn expand(
                 .iter()
                 .map(|t| match t {
                     Term::Const(c) => PatternTerm::Const(*c),
-                    Term::Var(v) => var_map.get(v).copied().unwrap_or(PatternTerm::Free),
+                    // Every unconstrained position stays independent here:
+                    // unlike `compile`, this compiler does not share a free
+                    // variable between positions of one literal.
+                    Term::Var(v) => match var_map.get(v) {
+                        Some(&PatternTerm::Local(_)) | None => PatternTerm::Free,
+                        Some(&bound) => bound,
+                    },
                 })
                 .collect();
             let child = builder.goal(&pattern_label(body.predicate, &child_pattern, table));

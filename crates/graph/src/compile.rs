@@ -7,7 +7,8 @@
 //!
 //! * each node is a goal *pattern* over the query's bound constants
 //!   ([`PatternTerm`]: a reference to a bound query argument, a fixed
-//!   constant from a rule, or a free position);
+//!   constant from a rule, a free position, or a free variable shared
+//!   by several positions);
 //! * each rule whose head can unify with a node's pattern contributes a
 //!   **reduction arc**, carrying the *guards* under which the
 //!   unification actually succeeds at run time (e.g. the paper's
@@ -23,7 +24,7 @@
 
 use crate::error::GraphError;
 use crate::graph::{ArcId, GraphBuilder, InferenceGraph, NodeId};
-use qpl_datalog::{QueryForm, RuleBase, RuleId, Symbol, SymbolTable, Term};
+use qpl_datalog::{Atom, QueryForm, RuleBase, RuleId, Symbol, SymbolTable, Term, Var};
 use std::collections::HashMap;
 
 /// One position of a goal pattern.
@@ -33,8 +34,49 @@ pub enum PatternTerm {
     QueryArg(usize),
     /// A fixed constant introduced by some rule.
     Const(Symbol),
-    /// An unconstrained position (existential).
+    /// An unconstrained position (existential) that no other position
+    /// of the pattern shares.
     Free,
+    /// An existential variable that occurs at several positions of the
+    /// pattern: every `Local(k)` with the same `k` names one value, so
+    /// `e(X, X)` is `[Local(0), Local(0)]` and never probes as `e(_, _)`.
+    Local(u32),
+}
+
+/// Instantiates a goal pattern with the query's bound constants: each
+/// `Local(k)` becomes one variable shared by all its positions, and each
+/// `Free` position a variable of its own.
+pub fn instantiate_pattern(
+    predicate: Symbol,
+    pattern: &[PatternTerm],
+    constants: &[Symbol],
+) -> Atom {
+    let mut fresh = local_count(pattern);
+    let args = pattern
+        .iter()
+        .map(|p| match *p {
+            PatternTerm::QueryArg(i) => Term::Const(constants[i]),
+            PatternTerm::Const(c) => Term::Const(c),
+            PatternTerm::Local(k) => Term::Var(Var(k)),
+            PatternTerm::Free => {
+                fresh += 1;
+                Term::Var(Var(fresh - 1))
+            }
+        })
+        .collect();
+    Atom::new(predicate, args)
+}
+
+/// One past the largest `Local` identity in `pattern` (0 if none).
+fn local_count(pattern: &[PatternTerm]) -> u32 {
+    pattern
+        .iter()
+        .filter_map(|p| match p {
+            PatternTerm::Local(k) => Some(k + 1),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// A runtime condition on the incoming query's bound constants.
@@ -212,14 +254,7 @@ fn expand(
         };
         // Child pattern = body atom under the variable map.
         let body = &rule.body[0];
-        let child_pattern: Vec<PatternTerm> = body
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => PatternTerm::Const(*c),
-                Term::Var(v) => var_map.get(v).copied().unwrap_or(PatternTerm::Free),
-            })
-            .collect();
+        let child_pattern = body_pattern(&body.args, &var_map);
         let mut all_guards = inherited_guards.to_vec();
         all_guards.append(&mut guards);
         all_guards.sort_by_key(guard_key);
@@ -269,52 +304,79 @@ fn push_binding(bindings: &mut Vec<ArcBinding>, arc: ArcId, b: ArcBinding) {
 /// Unifies rule-head arguments against a node pattern, producing the
 /// rule-variable map and runtime guards; `None` when constants clash
 /// statically.
+///
+/// Unconstrained values in the map are always `Local`s: each `Free`
+/// position of the pattern gets an identity of its own, and positions
+/// that the head equates (a repeated head variable) or binds (a head
+/// constant or bound term) are resolved through every occurrence of the
+/// identity, so two head variables that name one value map to the same
+/// term.
 pub(crate) fn match_head(
     head_args: &[Term],
     pattern: &[PatternTerm],
-) -> Option<(HashMap<qpl_datalog::Var, PatternTerm>, Vec<Guard>)> {
+) -> Option<(HashMap<Var, PatternTerm>, Vec<Guard>)> {
     if head_args.len() != pattern.len() {
         return None;
     }
-    let mut var_map: HashMap<qpl_datalog::Var, PatternTerm> = HashMap::new();
+    let mut next = local_count(pattern);
+    let mut locals: HashMap<u32, PatternTerm> = HashMap::new();
+    let mut var_map: HashMap<Var, PatternTerm> = HashMap::new();
     let mut guards = Vec::new();
     for (t, &p) in head_args.iter().zip(pattern) {
+        let p = if p == PatternTerm::Free {
+            next += 1;
+            PatternTerm::Local(next - 1)
+        } else {
+            resolve(&locals, p)
+        };
         match *t {
-            Term::Const(c) => match p {
-                PatternTerm::Const(d) => {
-                    if c != d {
-                        return None;
-                    }
-                }
-                PatternTerm::QueryArg(i) => guards.push(Guard::ArgEqConst(i, c)),
-                PatternTerm::Free => {}
-            },
-            Term::Var(v) => match var_map.get(&v).copied() {
-                None => {
-                    var_map.insert(v, p);
-                }
-                Some(prev) => {
-                    let resolved = merge_pattern_terms(prev, p, &mut guards)?;
-                    var_map.insert(v, resolved);
-                }
-            },
+            Term::Const(c) => {
+                unify(PatternTerm::Const(c), p, &mut locals, &mut guards)?;
+            }
+            Term::Var(v) => {
+                let bound = match var_map.get(&v) {
+                    None => p,
+                    Some(&prev) => unify(resolve(&locals, prev), p, &mut locals, &mut guards)?,
+                };
+                var_map.insert(v, bound);
+            }
         }
+    }
+    for term in var_map.values_mut() {
+        *term = resolve(&locals, *term);
     }
     Some((var_map, guards))
 }
 
-/// Reconciles two pattern terms a repeated head variable was matched
-/// against, emitting guards and returning the *resolved* binding (the
-/// more constrained of the two — a `Free` never wins over a bound
-/// position, or repeated-variable subgoals would probe unconstrained);
-/// `None` on a static clash.
-fn merge_pattern_terms(
+/// Follows `Local` identities to what they were unified with.
+fn resolve(locals: &HashMap<u32, PatternTerm>, mut p: PatternTerm) -> PatternTerm {
+    while let PatternTerm::Local(k) = p {
+        match locals.get(&k) {
+            Some(&next) => p = next,
+            None => break,
+        }
+    }
+    p
+}
+
+/// Reconciles two resolved pattern terms one head position or repeated
+/// head variable equates, emitting guards and returning the *resolved*
+/// term (the more constrained of the two — an unconstrained `Local`
+/// never wins over a bound position, and is bound to it for every other
+/// position it occurs at); `None` on a static clash.
+fn unify(
     a: PatternTerm,
     b: PatternTerm,
+    locals: &mut HashMap<u32, PatternTerm>,
     guards: &mut Vec<Guard>,
 ) -> Option<PatternTerm> {
     use PatternTerm::*;
     match (a, b) {
+        (Local(x), Local(y)) if x == y => Some(a),
+        (Local(x), other) | (other, Local(x)) => {
+            locals.insert(x, other);
+            Some(other)
+        }
         (Const(x), Const(y)) => (x == y).then_some(Const(x)),
         (QueryArg(i), Const(c)) | (Const(c), QueryArg(i)) => {
             guards.push(Guard::ArgEqConst(i, c));
@@ -326,9 +388,49 @@ fn merge_pattern_terms(
             }
             Some(QueryArg(i.min(j)))
         }
-        // A Free position places no constraint; the bound side wins.
-        (Free, x) | (x, Free) => Some(x),
+        (Free, _) | (_, Free) => unreachable!("match_head gives every free position an identity"),
     }
+}
+
+/// The goal pattern of a body literal under a head match's variable map.
+/// An unconstrained value that occurs at one position only is `Free`;
+/// one that occurs at several (a repeated body variable, or two
+/// variables the head equated) is `Local(k)`, numbered by first
+/// occurrence.
+fn body_pattern(args: &[Term], var_map: &HashMap<Var, PatternTerm>) -> Vec<PatternTerm> {
+    // Identity of each unconstrained position: a `Local` of the parent
+    // pattern, or a body variable the head does not bind.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Unbound {
+        Parent(u32),
+        Body(Var),
+    }
+    let slots: Vec<Result<PatternTerm, Unbound>> = args
+        .iter()
+        .map(|t| match *t {
+            Term::Const(c) => Ok(PatternTerm::Const(c)),
+            Term::Var(v) => match var_map.get(&v) {
+                Some(&PatternTerm::Local(k)) => Err(Unbound::Parent(k)),
+                Some(&bound) => Ok(bound),
+                None => Err(Unbound::Body(v)),
+            },
+        })
+        .collect();
+    let mut shared: Vec<Unbound> = Vec::new();
+    slots
+        .iter()
+        .map(|slot| match *slot {
+            Ok(term) => term,
+            Err(u) if slots.iter().filter(|s| **s == Err(u)).count() == 1 => PatternTerm::Free,
+            Err(u) => {
+                let k = shared.iter().position(|&s| s == u).unwrap_or_else(|| {
+                    shared.push(u);
+                    shared.len() - 1
+                });
+                PatternTerm::Local(k as u32)
+            }
+        })
+        .collect()
 }
 
 /// Renders `pred(κ0, fred, _)`-style labels.
@@ -347,6 +449,7 @@ pub(crate) fn pattern_label(
             PatternTerm::QueryArg(k) => s.push_str(&format!("κ{k}")),
             PatternTerm::Const(c) => s.push_str(table.name(*c)),
             PatternTerm::Free => s.push('_'),
+            PatternTerm::Local(k) => s.push_str(&format!("_{k}")),
         }
     }
     s.push(')');

@@ -50,8 +50,8 @@ pub mod strategy;
 pub(crate) mod testgen;
 
 pub use batch::{
-    execute_batch, execute_batch_observed, lanes_from, tail_mask, try_execute_batch,
-    width_for_lanes, BatchRun, ContextBatch, LaneMask, LANES, MAX_LANES, MAX_WIDTH,
+    execute_batch, execute_batch_observed, lanes_from, try_execute_batch, BatchRun, ContextBatch,
+    LANES,
 };
 pub use context::{ArcOutcome, Context, RunOutcome, RunScratch, Trace};
 pub use error::GraphError;

@@ -1,20 +1,16 @@
-//! Property tests for the width-generic bit-parallel executor: at every
-//! plane width W ∈ {1, 2, 4, 8}, a W×64-lane batch must behave exactly
-//! like that many independent scalar program runs — bit-identical costs,
-//! identical outcomes, identical per-arc event sequences, and identical
-//! metrics-observed results. Width is a storage layout choice, never a
-//! semantic one.
+//! Property tests for the bit-parallel executor's plane layout: a
+//! 64-lane plane, full or partial, must behave exactly like that many
+//! independent scalar program runs — bit-identical costs, identical
+//! outcomes, identical per-arc event sequences, and identical
+//! metrics-observed results.
 //!
-//! The W=1 case doubles as the regression anchor for the pre-refactor
-//! single-`u64` plane path: the same mask-derived corpus that
-//! `batch_props` always ran now re-runs through the `[u64; 1]` blocks
-//! and must keep producing the exact scalar bits it always did.
+//! The single-word case doubles as the regression anchor for the
+//! original `u64` plane path: the same mask-derived corpus that
+//! `batch_props` always ran must keep producing the exact scalar bits it
+//! always did.
 
 use proptest::prelude::*;
-use qpl_graph::batch::{
-    execute_batch, execute_batch_observed, tail_mask, width_for_lanes, BatchRun, ContextBatch,
-    LaneMask, LANES, MAX_LANES,
-};
+use qpl_graph::batch::{execute_batch, execute_batch_observed, BatchRun, ContextBatch, LANES};
 use qpl_graph::context::{Context, RunScratch};
 use qpl_graph::graph::GraphBuilder;
 use qpl_graph::program::{execute_program_into, StrategyProgram};
@@ -85,16 +81,11 @@ fn assert_plane_matches_scalar(
     for lane in 0..lanes {
         batch.set_lane(lane, &lane_context(g, seed_mask, lane));
     }
-    assert_eq!(batch.width(), width_for_lanes(lanes));
 
     let mut run = BatchRun::new();
     let mut sink = MemorySink::new();
-    let succeeded = execute_batch_observed(p, &batch, LaneMask::ALL, &mut run, &mut sink);
-    assert_eq!(
-        sink.value_stats("graph.batch.width").map(|s| s.max),
-        Some(batch.width() as f64),
-        "the observed variant reports the plane width"
-    );
+    let succeeded = execute_batch_observed(p, &batch, !0, &mut run, &mut sink);
+    assert_eq!(sink.counter_total("graph.batch.lanes"), lanes as u64);
 
     let mut scratch = RunScratch::new(g);
     let mut events: Vec<(ArcId, ArcOutcome)> = Vec::new();
@@ -108,7 +99,7 @@ fn assert_plane_matches_scalar(
             "lane {lane} of {lanes}: cost bits"
         );
         assert_eq!(
-            succeeded.test(lane),
+            succeeded & (1u64 << lane) != 0,
             scalar_outcome.is_success(),
             "lane {lane} of {lanes}: success mask"
         );
@@ -123,10 +114,10 @@ fn assert_plane_matches_scalar(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (a) A W-lane batch equals W independent scalar runs for every
-    /// plane width, including the observed entry point.
+    /// (a) A full 64-lane plane and a partial one each equal that many
+    /// independent scalar runs, including the observed entry point.
     #[test]
-    fn every_width_matches_independent_scalar_runs(
+    fn full_and_partial_planes_match_independent_scalar_runs(
         graph_seed in 0u64..32,
         seed_mask in proptest::num::u64::ANY,
         fill in 1usize..=LANES,
@@ -135,17 +126,14 @@ proptest! {
         let strategy = Strategy::left_to_right(&g);
         let p = StrategyProgram::compile(&g, &strategy)
             .expect("left-to-right strategies are path-form");
-        for width in [1usize, 2, 4, 8] {
-            // A full plane and a partial one per width (the partial
-            // plane exercises the tail of the last word).
-            assert_plane_matches_scalar(&g, &p, seed_mask, width * LANES);
-            assert_plane_matches_scalar(&g, &p, seed_mask, (width - 1) * LANES + fill);
-        }
+        // The partial plane exercises the tail of the word.
+        assert_plane_matches_scalar(&g, &p, seed_mask, LANES);
+        assert_plane_matches_scalar(&g, &p, seed_mask, fill);
     }
 
-    /// (b) The W=1 path reproduces the pre-refactor single-`u64` plane
-    /// behavior bit-for-bit on the original `batch_props` corpus: a
-    /// 64-lane plane driven by an arbitrary active mask.
+    /// (b) The plane reproduces the original single-`u64` behavior
+    /// bit-for-bit on the `batch_props` corpus: a 64-lane plane driven
+    /// by an arbitrary active mask.
     #[test]
     fn width_one_is_bit_identical_to_the_single_word_path(
         graph_seed in 0u64..32,
@@ -157,37 +145,22 @@ proptest! {
         let p = StrategyProgram::compile(&g, &strategy)
             .expect("left-to-right strategies are path-form");
         let mut batch = ContextBatch::new(g.arc_count(), LANES);
-        prop_assert_eq!(batch.width(), 1, "64 lanes always pick the one-word layout");
         for lane in 0..LANES {
             batch.set_lane(lane, &lane_context(&g, seed_mask, lane));
         }
         let mut run = BatchRun::new();
-        let active = LaneMask::low(active_bits);
-        let succeeded = execute_batch(&p, &batch, active, &mut run);
+        let succeeded = execute_batch(&p, &batch, active_bits, &mut run);
         let mut scratch = RunScratch::new(&g);
         for lane in 0..LANES {
             if active_bits & (1u64 << lane) == 0 {
                 prop_assert_eq!(run.cost(lane).to_bits(), 0f64.to_bits(), "inactive lane is idle");
-                prop_assert!(!succeeded.test(lane));
+                prop_assert!(succeeded & (1u64 << lane) == 0);
                 continue;
             }
             let ctx = lane_context(&g, seed_mask, lane);
             let scalar_outcome = execute_program_into(&p, &ctx, &mut scratch);
             prop_assert_eq!(run.outcome(lane), scalar_outcome);
             prop_assert_eq!(run.cost(lane).to_bits(), scratch.cost().to_bits());
-        }
-    }
-
-    /// The mask algebra the executor leans on: `tail_mask` counts what
-    /// it covers, and the derived width always fits the lane count.
-    #[test]
-    fn tail_masks_cover_exactly_the_lanes_they_claim(lanes in 0usize..=MAX_LANES) {
-        let width = width_for_lanes(lanes);
-        prop_assert!(width * LANES >= lanes, "derived width holds every lane");
-        let m = tail_mask(width, lanes);
-        prop_assert_eq!(m.count_ones() as usize, lanes);
-        for lane in 0..width * LANES {
-            prop_assert_eq!(m.test(lane), lane < lanes);
         }
     }
 }

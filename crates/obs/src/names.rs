@@ -24,12 +24,9 @@ pub mod serve {
     pub const ERRORS: &str = "serve.errors";
     /// Counter: strategy climbs accepted by the online adaptation loop.
     pub const CLIMBS: &str = "serve.climbs";
-    /// Value: occupied fraction of each executed plane's lane
-    /// capacity (1.0 = every lane of a width × 64-lane plane full).
+    /// Value: occupied fraction of each executed plane's 64 lanes
+    /// (1.0 = every lane full).
     pub const BATCH_FILL: &str = "serve.batch_fill";
-    /// Value: width (in 64-lane words: 1/2/4/8) of each executed
-    /// plane — the load-adaptive plane-width distribution.
-    pub const PLANE_WIDTH: &str = "serve.plane_width";
     /// Span: wall-clock time of one plane execution (classify + run +
     /// respond).
     pub const EXEC: &str = "serve.exec";
@@ -124,7 +121,6 @@ mod tests {
             super::serve::ERRORS,
             super::serve::CLIMBS,
             super::serve::BATCH_FILL,
-            super::serve::PLANE_WIDTH,
             super::serve::EXEC,
             super::serve::SERVICE_US,
             super::serve::SHARD_PUBLISHED,

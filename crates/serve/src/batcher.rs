@@ -1,5 +1,5 @@
 //! Dynamic batcher + admission controller: a bounded FIFO of jobs that
-//! coalesces into 64..=512-lane planes, sized by queue depth.
+//! coalesces into 64-lane planes.
 //!
 //! The batcher is a *synchronous state machine* — it never touches a
 //! clock or a thread by itself. Callers pass `Instant`s in, which keeps
@@ -32,25 +32,22 @@
 //!   the next job would overflow the plane. Jobs are never split across
 //!   planes (each is at most [`LANES`] lanes wide, enforced at request
 //!   parse time), so a batch request's lanes always execute together.
-//!   The plane's lane capacity is caller-chosen: under load the server
-//!   passes a wider capacity ([`plane_width_for_depth`] × [`LANES`])
-//!   so one cut drains what would otherwise take up to eight.
+//!   A plane holds at most [`LANES`] lanes, one `u64` word per arc,
+//!   whatever the queue depth: a backlog drains as several 64-lane cuts.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use qpl_graph::batch::{width_for_lanes, LANES, MAX_LANES};
+use qpl_graph::batch::LANES;
 
-/// Plane width (in 64-lane words) to cut for a queue currently holding
-/// `lanes_queued` lanes: the narrowest power-of-two plane that drains
-/// the whole queue in one cut, capped at [`MAX_LANES`] total lanes.
+/// Plane width, in 64-lane words, to cut at any queue depth: always 1.
 ///
-/// Depth 0..=64 → 1, 65..=128 → 2, 129..=256 → 4, 257+ → 8. A lightly
-/// loaded shard keeps cutting 64-lane planes (identical latency profile
-/// to the fixed-width batcher); a backlogged shard amortizes program
-/// dispatch over up to 512 lanes per cut.
-pub fn plane_width_for_depth(lanes_queued: usize) -> usize {
-    width_for_lanes(lanes_queued.clamp(1, MAX_LANES))
+/// Kept as a stable name for callers that size a cut as
+/// `plane_width_for_depth(depth) * LANES` (the serving benchmark's
+/// replay does); every plane is one 64-lane word, so the product is
+/// always [`LANES`].
+pub fn plane_width_for_depth(_lanes_queued: usize) -> usize {
+    1
 }
 
 /// How many plane lanes a queued job occupies (its query count).
@@ -115,23 +112,25 @@ impl<T: LaneWeight> Batcher<T> {
         self.queue.front().map(|(_, arrived)| *arrived + max_wait)
     }
 
-    /// Pops whole jobs FIFO into `out` (cleared first) until the plane
-    /// is full or the next job would not fit. `max_lanes` is the
-    /// plane's lane capacity (clamped to `LANES..=MAX_LANES`; the
-    /// server passes [`plane_width_for_depth`]` × LANES`). Returns the
+    /// Pops whole jobs FIFO into `out` (cleared first) until the
+    /// 64-lane plane is full or the next job would not fit. Returns the
     /// lane total. Empty queue → 0 lanes, empty `out`.
-    pub fn cut_plane(&mut self, max_lanes: usize, out: &mut Vec<(T, Instant)>) -> usize {
-        let cap = max_lanes.clamp(LANES, MAX_LANES);
+    ///
+    /// `max_lanes` is ignored: a cut never holds more than [`LANES`]
+    /// lanes, whatever the caller asks for. The parameter stays so that
+    /// callers written against a capacity argument (the serving
+    /// benchmark's replay) keep compiling; the server passes [`LANES`].
+    pub fn cut_plane(&mut self, _max_lanes: usize, out: &mut Vec<(T, Instant)>) -> usize {
         out.clear();
         let mut lanes = 0usize;
         while let Some((job, _)) = self.queue.front() {
             let w = job.lanes();
-            if lanes + w > cap {
+            if lanes + w > LANES {
                 break;
             }
             lanes += w;
             out.push(self.queue.pop_front().expect("front exists"));
-            if lanes == cap {
+            if lanes == LANES {
                 break;
             }
         }
@@ -237,43 +236,31 @@ mod tests {
     }
 
     #[test]
-    fn wide_planes_drain_a_backlog_in_one_cut() {
+    fn a_backlog_drains_one_64_lane_plane_per_cut() {
         let t0 = Instant::now();
         let mut b = Batcher::new(1000);
         for _ in 0..5 {
             b.offer(J(60), t0).unwrap();
         }
-        let width = plane_width_for_depth(b.lanes_queued());
-        assert_eq!(width, 8, "300 queued lanes call for the widest plane");
+        assert_eq!(plane_width_for_depth(b.lanes_queued()), 1, "every depth cuts one word");
         let mut out = Vec::new();
-        assert_eq!(b.cut_plane(width * LANES, &mut out), 300);
-        assert!(b.is_empty(), "one wide cut drains the whole backlog");
+        for left in (0..5).rev() {
+            assert_eq!(b.cut_plane(plane_width_for_depth(b.lanes_queued()) * LANES, &mut out), 60);
+            assert_eq!(b.jobs_queued(), left);
+        }
     }
 
     #[test]
-    fn plane_width_tracks_queue_depth() {
-        assert_eq!(plane_width_for_depth(0), 1);
-        assert_eq!(plane_width_for_depth(1), 1);
-        assert_eq!(plane_width_for_depth(64), 1);
-        assert_eq!(plane_width_for_depth(65), 2);
-        assert_eq!(plane_width_for_depth(128), 2);
-        assert_eq!(plane_width_for_depth(129), 4);
-        assert_eq!(plane_width_for_depth(256), 4);
-        assert_eq!(plane_width_for_depth(257), 8);
-        assert_eq!(plane_width_for_depth(10_000), 8, "capped at MAX_LANES");
-    }
-
-    #[test]
-    fn cut_plane_clamps_the_capacity_to_the_plane_range() {
+    fn cut_plane_never_exceeds_one_plane_whatever_the_capacity_asked() {
         let t0 = Instant::now();
         let mut b = Batcher::new(2000);
         for _ in 0..20 {
             b.offer(J(64), t0).unwrap();
         }
         let mut out = Vec::new();
-        // Below LANES clamps up to one plane; above MAX_LANES clamps
-        // down to the widest plane.
-        assert_eq!(b.cut_plane(0, &mut out), LANES);
-        assert_eq!(b.cut_plane(usize::MAX, &mut out), MAX_LANES);
+        for asked in [0, 1, LANES, LANES + 1, 512, usize::MAX] {
+            assert_eq!(b.cut_plane(asked, &mut out), LANES, "asked for {asked}");
+            assert_eq!(out.len(), 1);
+        }
     }
 }

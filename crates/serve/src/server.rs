@@ -75,7 +75,7 @@ use qpl_datalog::parser::{parse_program, parse_query, parse_query_form};
 use qpl_datalog::{Atom, Database, Fact, Symbol, SymbolTable, Term};
 use qpl_engine::cache::{DependencyFootprint, RunCache};
 use qpl_engine::qp::{classify_context_into, BatchScratch, QueryAnswer, QueryProcessor};
-use qpl_graph::batch::{width_for_lanes, LANES, MAX_LANES};
+use qpl_graph::batch::LANES;
 use qpl_graph::compile::{compile, CompileOptions, CompiledGraph};
 use qpl_graph::graph::ArcId;
 use qpl_graph::{InferenceGraph, Strategy};
@@ -89,7 +89,7 @@ use qpl_workload::generator::{random_layered_kb, KbParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::batcher::{plane_width_for_depth, Batcher, LaneWeight};
+use crate::batcher::{Batcher, LaneWeight};
 use crate::wire::{self, LaneResult, Request, ShardStatsView, StatsView};
 
 /// Server tuning knobs. `Default` suits tests and small deployments.
@@ -226,10 +226,6 @@ struct ShardStats {
     queue_lanes: u64,
     served: u64,
     batches: u64,
-    /// Summed lane capacity of executed planes (fill denominator).
-    plane_lanes: u64,
-    /// Planes executed at width 1/2/4/8, indexed by log2(width).
-    width_planes: [u64; 4],
     declined: u64,
     errors: u64,
     climbs: u64,
@@ -237,7 +233,7 @@ struct ShardStats {
     /// KB deltas this shard has applied (convergence check).
     deltas_applied: u64,
     /// Lanes actually *executed* in planes (cache-hit lanes are served
-    /// without occupying a lane) — the width-aware fill numerator.
+    /// without occupying a lane) — the fill numerator.
     executed_lanes: u64,
     /// Recent per-request service times, µs (unsorted ring contents).
     service_us: Vec<f64>,
@@ -989,8 +985,7 @@ fn collect_stats(shared: &Shared) -> Reply {
     let mut all_us: Vec<f64> = Vec::new();
     let (mut queue_lanes, mut served, mut batches) = (0u64, 0u64, 0u64);
     let (mut errors, mut climbs, mut adoptions) = (0u64, 0u64, 0u64);
-    let (mut plane_lanes, mut executed_lanes, mut deltas_applied) = (0u64, 0u64, 0u64);
-    let mut width_planes = [0u64; 4];
+    let (mut executed_lanes, mut deltas_applied) = (0u64, 0u64);
     let mut store_view = None;
     for (shard, rx) in pending.into_iter().enumerate() {
         let Ok(s) = rx.recv() else {
@@ -1002,10 +997,6 @@ fn collect_stats(shared: &Shared) -> Reply {
         queue_lanes += s.queue_lanes;
         served += s.served;
         batches += s.batches;
-        plane_lanes += s.plane_lanes;
-        for (acc, w) in width_planes.iter_mut().zip(s.width_planes) {
-            *acc += w;
-        }
         errors += s.errors;
         climbs += s.climbs;
         adoptions += s.adoptions;
@@ -1024,7 +1015,7 @@ fn collect_stats(shared: &Shared) -> Reply {
             climbs: s.climbs,
             adoptions: s.adoptions,
             deltas_applied: s.deltas_applied,
-            fill_ratio: fill_ratio(s.executed_lanes, s.plane_lanes),
+            fill_ratio: fill_ratio(s.executed_lanes, s.batches),
             p50_us: percentile_sorted(&us, 0.50),
             p99_us: percentile_sorted(&us, 0.99),
             strategy_fp: format!("{:016x}", s.strategy_fp),
@@ -1047,8 +1038,7 @@ fn collect_stats(shared: &Shared) -> Reply {
         adoptions,
         steer_fallbacks,
         deltas_applied,
-        fill_ratio: fill_ratio(executed_lanes, plane_lanes),
-        width_planes,
+        fill_ratio: fill_ratio(executed_lanes, batches),
         p50_us: percentile_sorted(&all_us, 0.50),
         p99_us: percentile_sorted(&all_us, 0.99),
         shards: views,
@@ -1058,14 +1048,12 @@ fn collect_stats(shared: &Shared) -> Reply {
     Reply::Line(wire::render_stats(&view))
 }
 
-/// Occupied fraction of executed plane capacity. `executed` counts
-/// lanes that ran in a plane (cache-hit lanes never occupy capacity);
-/// `capacity_lanes` sums each plane's width × 64 lanes, so a shard that
-/// widens under load is judged against the capacity it actually cut. A
-/// shard that executed nothing reports 0.0, never NaN.
-fn fill_ratio(executed: u64, capacity_lanes: u64) -> f64 {
-    if capacity_lanes > 0 {
-        executed as f64 / capacity_lanes as f64
+/// Occupied fraction of executed plane capacity: `executed` lanes ran
+/// in `planes` planes of 64 lanes each (cache-hit lanes never occupy
+/// capacity). A shard that executed nothing reports 0.0, never NaN.
+fn fill_ratio(executed: u64, planes: u64) -> f64 {
+    if planes > 0 {
+        executed as f64 / (planes * LANES as u64) as f64
     } else {
         0.0
     }
@@ -1213,11 +1201,6 @@ struct Executor<'g> {
     sink: MemorySink,
     served: u64,
     batches: u64,
-    /// Summed lane *capacity* of executed planes (width × 64 each) —
-    /// the width-aware fill-ratio denominator.
-    plane_lanes: u64,
-    /// Planes executed at width 1/2/4/8, indexed by log2(width).
-    width_planes: [u64; 4],
     errors: u64,
     climbs: u64,
     adoptions: u64,
@@ -1279,8 +1262,6 @@ fn executor_loop(
         sink: MemorySink::new(),
         served: 0,
         batches: 0,
-        plane_lanes: 0,
-        width_planes: [0; 4],
         errors: 0,
         climbs: 0,
         adoptions: 0,
@@ -1319,10 +1300,7 @@ fn executor_loop(
                 let ready =
                     st.batcher.ready(now, cfg.max_wait) || (st.draining && !st.batcher.is_empty());
                 if ready {
-                    // Under load the cut widens (up to 512 lanes) so one
-                    // dispatch drains what would otherwise take eight.
-                    let cap = plane_width_for_depth(st.batcher.lanes_queued()) * LANES;
-                    st.batcher.cut_plane(cap, &mut jobs);
+                    st.batcher.cut_plane(LANES, &mut jobs);
                 }
                 if ready || !controls.is_empty() || (st.draining && st.batcher.is_empty()) {
                     exit = st.draining && st.batcher.is_empty() && jobs.is_empty();
@@ -1712,7 +1690,7 @@ impl Executor<'_> {
                 }
             }
         }
-        debug_assert!(lanes <= MAX_LANES, "the batcher never cuts past the widest plane");
+        debug_assert!(lanes <= LANES, "the batcher never cuts past one plane");
         if lanes > 0 {
             self.scratch.assemble_pool_plane(self.g.arc_count(), lanes);
             self.lane_out.clear();
@@ -1732,16 +1710,12 @@ impl Executor<'_> {
                 // Memoize for later planes (and revalidated deltas).
                 self.run_cache.insert(std::mem::take(&mut self.keys[lane]), answer.clone(), *cost);
             }
-            let width = width_for_lanes(lanes);
             self.served += lanes as u64;
             self.executed_lanes += lanes as u64;
             self.batches += 1;
-            self.plane_lanes += (width * LANES) as u64;
-            self.width_planes[width.trailing_zeros() as usize] += 1;
             self.sink.counter(names::QUERIES, lanes as u64);
             self.sink.counter(names::BATCHES, 1);
-            self.sink.value(names::BATCH_FILL, lanes as f64 / (width * LANES) as f64);
-            self.sink.value(names::PLANE_WIDTH, width as f64);
+            self.sink.value(names::BATCH_FILL, lanes as f64 / LANES as f64);
             // Online adaptation: the served plane *is* the PIB sample
             // batch. On an accepted climb, swap the processor's compiled
             // program (fingerprint-memoized inside set_strategy) and
@@ -1800,8 +1774,6 @@ impl Executor<'_> {
             queue_lanes,
             served: self.served,
             batches: self.batches,
-            plane_lanes: self.plane_lanes,
-            width_planes: self.width_planes,
             declined,
             errors: self.errors,
             climbs: self.climbs,

@@ -589,11 +589,8 @@ pub struct StatsView {
     /// counts once per shard).
     pub deltas_applied: u64,
     /// Mean occupied fraction of executed plane capacity (each plane
-    /// counts width × 64 lanes in the denominator).
+    /// counts 64 lanes in the denominator).
     pub fill_ratio: f64,
-    /// Planes executed at width 1/2/4/8 (64/128/256/512 lanes), all
-    /// shards summed — the load-adaptive width distribution.
-    pub width_planes: [u64; 4],
     /// p50 request service time, microseconds, over all shards.
     pub p50_us: f64,
     /// p99 request service time, microseconds, over all shards.
@@ -748,11 +745,6 @@ pub fn render_stats(s: &StatsView) -> String {
     let _ = write!(out, ",\"adoptions\":{},\"steer_fallbacks\":{}", s.adoptions, s.steer_fallbacks);
     let _ = write!(out, ",\"deltas_applied\":{}", s.deltas_applied);
     let _ = write!(out, ",\"fill_ratio\":{}", s.fill_ratio);
-    let _ = write!(
-        out,
-        ",\"width_planes\":[{},{},{},{}]",
-        s.width_planes[0], s.width_planes[1], s.width_planes[2], s.width_planes[3]
-    );
     let _ = write!(out, ",\"p50_us\":{},\"p99_us\":{}", s.p50_us, s.p99_us);
     out.push_str(",\"shards\":[");
     for (i, sh) in s.shards.iter().enumerate() {
@@ -958,7 +950,6 @@ mod tests {
             steer_fallbacks: 4,
             deltas_applied: 10,
             fill_ratio: 0.52,
-            width_planes: [2, 1, 0, 0],
             p50_us: 130.5,
             p99_us: 900.0,
             shards: vec![shard(0, 64), shard(1, 36)],
@@ -995,9 +986,6 @@ mod tests {
         ] {
             assert!(v.get(key).and_then(JsonValue::as_f64).is_some(), "missing total {key}");
         }
-        let widths = v.get("width_planes").and_then(JsonValue::as_array).expect("width_planes");
-        assert_eq!(widths.len(), 4, "one bucket per plane width 1/2/4/8");
-        assert_eq!(widths[0].as_f64(), Some(2.0));
         let shards = v.get("shards").and_then(JsonValue::as_array).expect("shards array");
         assert_eq!(shards.len(), 2);
         for (i, sh) in shards.iter().enumerate() {

@@ -3,7 +3,9 @@
 //!
 //! * every offered request is either served exactly once or shed with
 //!   an explicit refusal (never dropped, never double-served, never
-//!   split across planes), and
+//!   split across planes),
+//! * every cut plane holds at most 64 lanes, even when a backlog queues
+//!   many times that, and
 //! * executing the cut planes bit-parallel produces exactly the
 //!   per-lane cost (f64 bit pattern) and outcome that scalar execution
 //!   of the same context produces.
@@ -16,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use proptest::{collection, num};
-use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES, MAX_LANES};
+use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES};
 use qpl_graph::context::{Context, RunScratch};
 use qpl_graph::program::{execute_program_into, StrategyProgram};
 use qpl_graph::{InferenceGraph, Strategy};
@@ -60,11 +62,10 @@ fn serve_plane(
     batcher: &mut Batcher<Req>,
     plane_buf: &mut Vec<(Req, Instant)>,
 ) -> Vec<usize> {
-    // Cut at the width the server would pick for this queue depth, so
-    // the property covers 64..512-lane planes under backlog.
-    let cap = plane_width_for_depth(batcher.lanes_queued()) * LANES;
-    let lanes = batcher.cut_plane(cap, plane_buf);
-    assert!(lanes <= cap && cap <= MAX_LANES, "a plane never exceeds its cut capacity");
+    // Cut the way the serving benchmark's replay does; whatever the
+    // queue depth, a plane is one 64-lane word.
+    let lanes = batcher.cut_plane(plane_width_for_depth(batcher.lanes_queued()) * LANES, plane_buf);
+    assert!(lanes <= LANES, "a plane never exceeds 64 lanes");
     let contexts: Vec<&Context> =
         plane_buf.iter().flat_map(|(req, _)| req.contexts.iter()).collect();
     assert_eq!(contexts.len(), lanes, "jobs are whole: lane sums match the cut");
@@ -103,6 +104,8 @@ proptest! {
         jobs in collection::vec((1usize..=3, num::u64::ANY, 0u64..4), 1..48),
         cap in 8usize..96,
         wait_ms in 1u64..8,
+        backlog in collection::vec((1usize..=LANES, num::u64::ANY), 0..24),
+        backlog_cap in 0usize..1024,
     ) {
         let g = graph_for(graph_seed);
         let strategy = Strategy::left_to_right(&g);
@@ -112,7 +115,7 @@ proptest! {
 
         let t0 = Instant::now();
         let mut now = t0;
-        let mut batcher: Batcher<Req> = Batcher::new(cap);
+        let mut batcher: Batcher<Req> = Batcher::new(cap + backlog_cap);
         let mut plane_buf = Vec::new();
         let mut fates: BTreeMap<usize, &'static str> = BTreeMap::new();
         let record = |fates: &mut BTreeMap<usize, &'static str>, id: usize, fate| {
@@ -123,7 +126,23 @@ proptest! {
             Ok(())
         };
 
-        for (id, (w, mask, gap_ms)) in jobs.iter().enumerate() {
+        // A backlog arrives while the executor is busy: no plane is cut
+        // until the whole burst is offered, so the queue can hold many
+        // planes' worth of lanes.
+        let mut backlog_lanes = 0;
+        for (id, (w, mask)) in backlog.iter().enumerate() {
+            let contexts = (0..*w)
+                .map(|lane| context_from_mask(&g, mask.rotate_left(lane as u32 * 7)))
+                .collect();
+            match batcher.offer(Req { id, contexts }, now) {
+                Ok(()) => backlog_lanes += w,
+                Err(_) => record(&mut fates, id, "shed")?,
+            }
+        }
+        prop_assert_eq!(batcher.lanes_queued(), backlog_lanes);
+
+        for (i, (w, mask, gap_ms)) in jobs.iter().enumerate() {
+            let id = backlog.len() + i;
             now += Duration::from_millis(*gap_ms);
             // The executor cuts every plane that is due before this arrival.
             while batcher.ready(now, wait) {
@@ -145,14 +164,15 @@ proptest! {
             }
         }
 
+        let offered = backlog.len() + jobs.len();
         prop_assert_eq!(
             fates.len(),
-            jobs.len(),
+            offered,
             "every request has exactly one fate — none dropped"
         );
         let served = fates.values().filter(|f| **f == "served").count();
         let shed = fates.values().filter(|f| **f == "shed").count();
-        prop_assert_eq!(served + shed, jobs.len());
+        prop_assert_eq!(served + shed, offered);
         prop_assert_eq!(shed as u64, batcher.shed_count());
         prop_assert_eq!(served as u64, batcher.admitted_count());
     }

@@ -30,9 +30,7 @@ use qpl_datalog::SymbolTable;
 use qpl_engine::qp::{classify_context_into, BatchScratch, QueryAnswer, QueryProcessor};
 use qpl_graph::batch::LANES;
 use qpl_graph::{ArcId, ArcOutcome};
-use qpl_serve::{
-    fallback_shard, plane_width_for_depth, steer_shard, Batcher, LaneWeight, ServeEngine,
-};
+use qpl_serve::{fallback_shard, steer_shard, Batcher, LaneWeight, ServeEngine};
 
 /// Query pool over the Figure-1 KB: known and unknown constants, so
 /// planes mix `yes` and `no` lanes.
@@ -234,8 +232,7 @@ proptest! {
             // Executors cut every plane due before this arrival.
             for b in batchers.iter_mut() {
                 while b.ready(now, wait) {
-                    let cap = plane_width_for_depth(b.lanes_queued()) * LANES;
-                    b.cut_plane(cap, &mut plane);
+                    b.cut_plane(LANES, &mut plane);
                     for (j, _) in plane.drain(..) {
                         record(&mut fates, j.id, "served")?;
                     }
@@ -263,8 +260,7 @@ proptest! {
         // Drain: what every shard does on shutdown.
         for b in batchers.iter_mut() {
             while !b.is_empty() {
-                let cap = plane_width_for_depth(b.lanes_queued()) * LANES;
-                b.cut_plane(cap, &mut plane);
+                b.cut_plane(LANES, &mut plane);
                 for (j, _) in plane.drain(..) {
                     record(&mut fates, j.id, "served")?;
                 }
